@@ -41,7 +41,12 @@ use crate::runner::{RunConfig, RunResult};
 /// v3: keys carry the canonical fault-plan digest (so faulted runs
 /// replay byte-identically without colliding with clean ones) and
 /// per-rank phase rows gain the `fault_stall_s` column.
-pub const CACHE_SCHEMA_VERSION: u64 = 3;
+///
+/// v4: the warm-up baseline is a checkpoint inside the full run instead
+/// of a separate warm-up-only run. Fault-free results are unchanged;
+/// results under flaky-link plans change (the subtraction is now
+/// exact), so v3 entries must not replay.
+pub const CACHE_SCHEMA_VERSION: u64 = 4;
 
 /// Everything that determines a run's outcome.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -187,7 +192,10 @@ struct MetricCells {
 /// Lookups hit the in-memory map first, then (when a directory is
 /// configured) the on-disk JSON files; stores write through to both.
 pub struct RunCache {
-    mem: Mutex<HashMap<String, RunResult>>,
+    /// Memory tier keyed by [`RunKey::hash_hex`] — the address
+    /// `GET /v1/cache/{hash}` looks up — holding `(canonical key,
+    /// result)`; a hit also checks the canonical key.
+    mem: Mutex<HashMap<String, (String, RunResult)>>,
     dir: Option<PathBuf>,
     metrics: MetricCells,
 }
@@ -216,10 +224,9 @@ impl RunCache {
         PathBuf::from("results").join("cache")
     }
 
-    fn path_of(&self, key: &RunKey) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("{}.json", key.hash_hex())))
+    /// Disk location of the entry whose key hashes to `hash`.
+    fn path_of(&self, hash: &str) -> Option<PathBuf> {
+        self.dir.as_ref().map(|d| d.join(format!("{hash}.json")))
     }
 
     /// Look `key` up, memory first, then disk. Corrupt disk entries are
@@ -228,16 +235,18 @@ impl RunCache {
     /// bad file forever.
     pub fn get(&self, key: &RunKey) -> Option<RunResult> {
         let canonical = key.canonical();
-        if let Some(hit) = self
+        let hash = fnv_hex(&canonical);
+        if let Some((_, hit)) = self
             .mem
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .get(&canonical)
+            .get(&hash)
+            .filter(|(stored, _)| *stored == canonical)
         {
             self.metrics.hits_mem.fetch_add(1, Ordering::Relaxed);
             return Some(hit.clone());
         }
-        let Some(path) = self.path_of(key) else {
+        let Some(path) = self.path_of(&hash) else {
             self.metrics.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         };
@@ -261,7 +270,7 @@ impl RunCache {
         self.mem
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(canonical, result.clone());
+            .insert(hash, (canonical, result.clone()));
         Some(result)
     }
 
@@ -288,11 +297,14 @@ impl RunCache {
     pub fn put(&self, key: &RunKey, result: &RunResult) {
         self.metrics.stores.fetch_add(1, Ordering::Relaxed);
         let canonical = key.canonical();
+        let hash = fnv_hex(&canonical);
+        let path = self.path_of(&hash);
+        let entry = (canonical.clone(), result.clone());
         self.mem
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(canonical.clone(), result.clone());
-        if let Some(path) = self.path_of(key) {
+            .insert(hash, entry);
+        if let Some(path) = path {
             if let Some(parent) = path.parent() {
                 let _ = std::fs::create_dir_all(parent);
             }
@@ -309,16 +321,12 @@ impl RunCache {
     /// file is served verbatim. Peer traffic deliberately leaves the
     /// hit/miss metrics alone — those describe local run execution.
     pub fn entry_by_hash(&self, hash: &str) -> Option<String> {
+        if let Some((canonical, result)) =
+            self.mem.lock().unwrap_or_else(|e| e.into_inner()).get(hash)
         {
-            let mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
-            for (canonical, result) in mem.iter() {
-                if fnv_hex(canonical) == hash {
-                    return Some(encode_entry(canonical, result));
-                }
-            }
+            return Some(encode_entry(canonical, result));
         }
-        let path = self.dir.as_ref()?.join(format!("{hash}.json"));
-        std::fs::read_to_string(path).ok()
+        std::fs::read_to_string(self.path_of(hash)?).ok()
     }
 
     /// Number of entries resident in memory (test/diagnostic hook).
@@ -776,7 +784,7 @@ mod tests {
     #[test]
     fn json_round_trip_is_bit_exact() {
         let r = sample_result();
-        let key = "v3|minisweep|ClusterA|tiny|n=59|w=2|m=3|r=3|f=none";
+        let key = "v4|minisweep|ClusterA|tiny|n=59|w=2|m=3|r=3|f=none";
         let text = encode_entry(key, &r);
         let back = decode_entry(&text, key).expect("decodes");
         assert!(results_equal(&r, &back));
@@ -802,7 +810,7 @@ mod tests {
         let key = RunKey::new("ClusterA", "tealeaf", "tiny", 72, &cfg);
         assert_eq!(
             key.canonical(),
-            "v3|tealeaf|ClusterA|tiny|n=72|w=2|m=3|r=3|f=none"
+            "v4|tealeaf|ClusterA|tiny|n=72|w=2|m=3|r=3|f=none"
         );
         // Pin the hash: silently changing it would orphan every
         // existing cache entry.

@@ -226,15 +226,16 @@ pub struct ExecMetrics {
     pub peer_hits: u64,
     /// Engine runs that reused a template-derived
     /// [`Prepass`](spechpc_simmpi::engine::Prepass) instead of
-    /// re-walking their concatenated programs — two per simulation (the
-    /// warm-up and the full run share one per-step analysis).
+    /// re-walking their concatenated programs — one per simulation (its
+    /// single engine run is described by the scaled per-step analysis).
     pub prepass_reuses: u64,
 }
 
 impl ExecMetrics {
-    /// Total wall seconds across all timed grid points.
+    /// Total wall seconds across all timed grid points (`0.0` when
+    /// none were timed; an empty `f64` sum would give `-0.0`).
     pub fn total_wall_s(&self) -> f64 {
-        self.point_wall_s.iter().map(|(_, s)| s).sum()
+        self.point_wall_s.iter().fold(0.0, |acc, (_, s)| acc + s)
     }
 }
 
@@ -863,9 +864,9 @@ mod tests {
         exec.run_one(&cluster, &spec).unwrap(); // memory hit
         let m = exec.metrics();
         assert_eq!(m.runs_executed, 1);
-        // One simulation = one template analysis reused twice (warm-up
-        // and full run); the cache hit re-simulates nothing.
-        assert_eq!(m.prepass_reuses, 2);
+        // One simulation = one engine run described by the scaled
+        // template analysis; the cache hit re-simulates nothing.
+        assert_eq!(m.prepass_reuses, 1);
         assert_eq!(m.cache.hits_mem, 1);
         assert_eq!(m.cache.misses, 1);
         assert_eq!(m.point_wall_s.len(), 2);
@@ -911,8 +912,8 @@ mod tests {
         assert!(exec.run_all(&cluster, &specs).is_complete());
         let m = exec.metrics();
         assert_eq!(m.runs_executed, specs.len() as u64);
-        // Every grid point reuses its template prepass twice.
-        assert_eq!(m.prepass_reuses, 2 * specs.len() as u64);
+        // Every grid point reuses its template prepass once.
+        assert_eq!(m.prepass_reuses, specs.len() as u64);
         assert_eq!(
             m.per_worker_runs.iter().sum::<u64>(),
             specs.len() as u64,

@@ -12,7 +12,7 @@ use spechpc_simmpi::engine::{Engine, Prepass, SimConfig, SimError};
 use spechpc_simmpi::faults::FaultPlan;
 use spechpc_simmpi::netmodel::NetModel;
 use spechpc_simmpi::profile::Profile;
-use spechpc_simmpi::program::Program;
+use spechpc_simmpi::program::{Op, Program};
 use spechpc_simmpi::trace::{Breakdown, Timeline};
 
 /// Busy fraction of a core spinning inside an MPI call (Intel MPI
@@ -41,8 +41,8 @@ pub struct RunConfig {
     pub trace: bool,
     /// Seeded fault-injection plan applied to the simulated runs
     /// ([`FaultPlan::none()`] by default — the engine's zero-cost off
-    /// path). The warm-up and full runs share the plan, so the
-    /// deterministic warm-prefix subtraction still applies; a crash
+    /// path). The warm-up baseline is a checkpoint inside the same
+    /// run, so its subtraction is exact under every fault kind; a crash
     /// inside the warm-up region fails the run like any other crash.
     pub faults: FaultPlan,
     /// Partition threads for the engine's parallel (PDES) scheduler
@@ -166,8 +166,8 @@ pub struct SimRunner {
     pub config: RunConfig,
     /// Optional counter of engine runs that *reused* a template-derived
     /// [`Prepass`] instead of re-walking their concatenated programs
-    /// (two per [`SimRunner::run`]: the warm-up and the full run). The
-    /// executor plumbs its metrics counter in here.
+    /// (one per [`SimRunner::run`]). The executor plumbs its metrics
+    /// counter in here.
     prepass_reuses: Option<std::sync::Arc<std::sync::atomic::AtomicU64>>,
 }
 
@@ -221,67 +221,61 @@ impl SimRunner {
         let step_progs = benchmark.step_programs(class, &ct);
         assert_eq!(step_progs.len(), nranks);
 
-        // Warm-up region: W steps + global synchronization.
-        let warm: Vec<Program> = step_progs
+        // One program per rank: W warm-up steps, the global
+        // synchronization that closes the warm-up, then M measured
+        // steps.
+        let (warmup, measured_steps) = (self.config.warmup_steps, self.config.measured_steps);
+        let programs: Vec<Program> = step_progs
             .iter()
             .map(|p| {
                 let mut prog = Program::new();
-                for _ in 0..self.config.warmup_steps {
+                for _ in 0..warmup {
                     prog.ops.extend_from_slice(&p.ops);
                 }
-                prog.push(spechpc_simmpi::program::Op::Barrier);
+                prog.push(Op::Barrier);
+                for _ in 0..measured_steps {
+                    prog.ops.extend_from_slice(&p.ops);
+                }
                 prog
             })
             .collect();
-        // Full program: warm-up + measured steps.
-        let full: Vec<Program> = warm
+        // The closing barrier follows every collective of the W
+        // warm-up steps (every rank calls the same collective sequence),
+        // so it is collective number W × (collectives per step).
+        let per_step = step_progs[0]
+            .ops
             .iter()
-            .zip(&step_progs)
-            .map(|(w, p)| {
-                let mut prog = w.clone();
-                for _ in 0..self.config.measured_steps {
-                    prog.ops.extend_from_slice(&p.ops);
-                }
-                prog
-            })
-            .collect();
+            .filter(|op| op.is_collective())
+            .count();
 
-        // Both simulated programs are concatenations of the same step
-        // template, so one fused validate/range/count walk over the
-        // template serves them both: the warm-up run (`W × step +
-        // Barrier` — collectives post no point-to-point requests) is
-        // described by `scaled(W)`, the full run by `scaled(W + M)`.
-        // Suite sweeps repeat this per grid point, saving two
-        // program-length walks per point.
-        let step_prepass = Prepass::analyze(&step_progs)?;
-        let warm_prepass = step_prepass.scaled(self.config.warmup_steps);
-        let full_prepass =
-            step_prepass.scaled(self.config.warmup_steps + self.config.measured_steps);
+        // The program is `W + M` copies of the step template plus a
+        // barrier (which posts no point-to-point requests), so one
+        // fused validate/range/count walk over the template describes
+        // it as `scaled(W + M)`.
+        let prepass = Prepass::analyze(&step_progs)?.scaled(warmup + measured_steps);
         if let Some(counter) = &self.prepass_reuses {
-            counter.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
+            counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
 
         let sim_cfg = SimConfig::default()
             .with_trace(self.config.trace)
             .with_faults(self.config.faults.clone())
             .with_threads(self.config.threads);
-        let net_warm = NetModel::compact(cluster, nranks);
-        let warm_cfg = SimConfig::default()
-            .with_faults(self.config.faults.clone())
-            .with_threads(self.config.threads);
-        let mut warm_engine = Engine::new(warm_cfg, net_warm, warm);
+        let mut engine = Engine::new(sim_cfg, NetModel::compact(cluster, nranks), programs)
+            .with_checkpoint(warmup * per_step);
         if let Some(c) = &cancel {
-            warm_engine = warm_engine.with_cancel(c.clone());
+            engine = engine.with_cancel(c.clone());
         }
-        let warm_result = warm_engine.run_prevalidated(&warm_prepass)?;
-        let net_full = NetModel::compact(cluster, nranks);
-        let mut full_engine = Engine::new(sim_cfg, net_full, full);
-        if let Some(c) = &cancel {
-            full_engine = full_engine.with_cancel(c.clone());
-        }
-        let full_result = full_engine.run_prevalidated(&full_prepass)?;
+        let full_result = engine.run_prevalidated(&prepass)?;
+        // The engine's state as the ranks leave the warm-up barrier:
+        // the warm-up's makespan, breakdown and profile, taken from
+        // this run (fault-free, bit-identical to a warm-up-only run).
+        let warm = full_result
+            .checkpoint
+            .as_ref()
+            .expect("a completed run passed its warm-up barrier");
 
-        let measured = (full_result.makespan - warm_result.makespan).max(1e-12);
+        let measured = (full_result.makespan - warm.makespan).max(1e-12);
         let base_step = measured / self.config.measured_steps as f64;
 
         // Repetition statistics via the deterministic jitter model.
@@ -305,13 +299,13 @@ impl SimRunner {
             l2_bytes: ct.effective_l2_bytes * sig.steps as f64,
         };
 
-        // Breakdown of the measured region: the warm-up prefix of the
-        // full run is identical (deterministic) to the warm-only run, so
-        // its per-kind times subtract out exactly.
-        let breakdown = subtract_breakdown(&full_result.breakdown(), &warm_result.breakdown());
+        // Breakdown of the measured region: the checkpoint holds the
+        // run's own per-kind times up to the warm-up barrier, so they
+        // subtract out exactly, under every fault kind.
+        let breakdown = subtract_breakdown(&full_result.breakdown(), &warm.breakdown());
         // Same subtraction for the online profile: isolate the measured
         // region's phase split, histograms and communication matrix.
-        let profile = full_result.profile.saturating_sub(&warm_result.profile);
+        let profile = full_result.profile.saturating_sub(&warm.profile);
 
         // Power: compute-phase utilization from the node model, MPI
         // phases busy-wait at MPI_SPIN_UTILIZATION.
@@ -368,8 +362,8 @@ impl SimRunner {
     }
 }
 
-/// Per-kind difference `full − warm` (both from deterministic runs
-/// sharing the warm-up prefix).
+/// Per-kind difference `full − warm`, where `warm` is the full run's
+/// checkpoint at the warm-up barrier.
 fn subtract_breakdown(full: &Breakdown, warm: &Breakdown) -> Breakdown {
     let mut b = Breakdown::default();
     for (kind, secs) in &full.seconds {
@@ -468,6 +462,44 @@ mod tests {
             assert!(res.power.package_w > rapl.baseline_power(1));
             assert!(res.power.package_w <= rapl.tdp(1) + 1e-9);
         }
+    }
+
+    #[test]
+    fn flaky_link_results_repeat_and_survive_a_cache_round_trip() {
+        use crate::cache::{encode_entry, RunCache, RunKey};
+        use spechpc_simmpi::faults::FaultEvent;
+        let cluster = presets::cluster_a();
+        let b = benchmark_by_name("tealeaf").unwrap();
+        let cfg = RunConfig::default().with_faults(FaultPlan {
+            seed: 7,
+            events: vec![FaultEvent::FlakyLink {
+                from: 0,
+                to: 1,
+                drop_prob: 0.5,
+                retransmit_latency_s: 1e-4,
+            }],
+        });
+        let key = RunKey::new(&cluster.name, "tealeaf", "tiny", 8, &cfg);
+        let encode = |r: &RunResult| encode_entry(&key.canonical(), r);
+        let run = || {
+            SimRunner::new(cfg.clone())
+                .run(&cluster, &*b, WorkloadClass::Tiny, 8)
+                .unwrap()
+        };
+        let first = run();
+        assert_eq!(encode(&first), encode(&run()));
+        let clean = runner().run(&cluster, &*b, WorkloadClass::Tiny, 8).unwrap();
+        assert!(
+            first.step_seconds > clean.step_seconds,
+            "the flaky link fired"
+        );
+
+        let dir = std::env::temp_dir().join(format!("spechpc-runner-flaky-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        RunCache::on_disk(&dir).put(&key, &first);
+        let replayed = RunCache::on_disk(&dir).get(&key).expect("disk hit");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(encode(&first), encode(&replayed));
     }
 
     #[test]

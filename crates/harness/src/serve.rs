@@ -1561,6 +1561,21 @@ mod tests {
     }
 
     #[test]
+    fn idle_metrics_render_a_zero_total_wall() {
+        let ctx = Ctx {
+            exec: Executor::serial(crate::runner::RunConfig::default()),
+            shutdown: AtomicBool::new(false),
+            sim_inflight: AtomicUsize::new(0),
+            open_conns: AtomicUsize::new(0),
+            max_inflight: 1,
+            log_requests: false,
+        };
+        let json = metrics_json(&ctx);
+        assert!(json.contains(r#""total_wall_s":0"#), "{json}");
+        assert!(!json.contains("-0"), "{json}");
+    }
+
+    #[test]
     fn serve_config_resolves_inflight_cap() {
         let cfg = ServeConfig::default().with_workers(8);
         assert_eq!(cfg.effective_max_inflight(), 7);

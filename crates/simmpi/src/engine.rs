@@ -221,21 +221,131 @@ pub struct SimResult {
     pub per_rank_breakdown: Vec<[f64; EventKind::COUNT]>,
     /// Online observability profile (empty if profiling was disabled).
     pub profile: Profile,
+    /// State at the checkpoint collective (`None` unless the engine was
+    /// built with [`Engine::with_checkpoint`] and the run reached it).
+    pub checkpoint: Option<Checkpoint>,
 }
 
 impl SimResult {
     /// Aggregate [`Breakdown`](crate::trace::Breakdown) over all ranks from the online counters.
     pub fn breakdown(&self) -> crate::trace::Breakdown {
-        let mut b = crate::trace::Breakdown::default();
-        for rank in &self.per_rank_breakdown {
-            for (i, &kind) in EventKind::ALL.iter().enumerate() {
-                if rank[i] > 0.0 {
-                    *b.seconds.entry(kind).or_insert(0.0) += rank[i];
-                    b.total += rank[i];
-                }
+        aggregate_breakdown(&self.per_rank_breakdown)
+    }
+}
+
+/// Sum per-rank breakdown rows into one [`Breakdown`](crate::trace::Breakdown).
+fn aggregate_breakdown(rows: &[[f64; EventKind::COUNT]]) -> crate::trace::Breakdown {
+    let mut b = crate::trace::Breakdown::default();
+    for rank in rows {
+        for (i, &kind) in EventKind::ALL.iter().enumerate() {
+            if rank[i] > 0.0 {
+                *b.seconds.entry(kind).or_insert(0.0) += rank[i];
+                b.total += rank[i];
             }
         }
-        b
+    }
+    b
+}
+
+/// The run's state as it stands when the ranks leave the checkpoint
+/// collective (see [`Engine::with_checkpoint`]).
+///
+/// When the checkpoint collective ends a prefix of every program, this
+/// equals, field for field and bit for bit, the [`SimResult`] of running
+/// that prefix alone:
+///
+/// * `makespan` is the collective's finish time, which is when every
+///   rank of the prefix-only run finishes;
+/// * each rank's breakdown row and [`Profile`] phase row are taken as
+///   the rank leaves the collective — rows are written only by their own
+///   rank, in program order, so they hold exactly the prefix's sums;
+/// * the global views (size histograms, communication matrix,
+///   `p2p_bytes`, `internode_bytes`) are taken as the first rank leaves
+///   it: every rank has entered, so every prefix post is counted, and no
+///   rank has gone past it, so no later post is. Messages are counted at
+///   post time, so an eager send posted before the collective and
+///   received after it counts in the prefix, as it does in the
+///   prefix-only run.
+///
+/// Under a fault plan the checkpoint is still the prefix's state *in
+/// this run*, so subtracting it from the run's totals isolates the
+/// suffix exactly under every fault kind. (A separate prefix-only run
+/// can differ there: its smaller request arena shifts the indices that
+/// key flaky-link retransmit draws.)
+#[derive(Debug, Clone, PartialEq)]
+pub struct Checkpoint {
+    /// Finish time of the checkpoint collective.
+    pub makespan: f64,
+    /// Point-to-point payload bytes posted before the checkpoint.
+    pub p2p_bytes: u64,
+    /// The node-crossing share of `p2p_bytes`.
+    pub internode_bytes: u64,
+    /// Per-rank time per event kind up to the checkpoint.
+    pub per_rank_breakdown: Vec<[f64; EventKind::COUNT]>,
+    /// Profile up to the checkpoint (empty if profiling was disabled).
+    pub profile: Profile,
+}
+
+impl Checkpoint {
+    /// Aggregate [`Breakdown`](crate::trace::Breakdown) up to the checkpoint.
+    pub fn breakdown(&self) -> crate::trace::Breakdown {
+        aggregate_breakdown(&self.per_rank_breakdown)
+    }
+}
+
+/// Records the [`Checkpoint`] while a scheduler runs. Each scheduler (or
+/// PDES partition) owns one and calls [`CheckpointRec::leave`] whenever
+/// one of its ranks leaves a collective.
+pub(crate) struct CheckpointRec {
+    /// Collective sequence number of the checkpoint (`usize::MAX`: off).
+    seq: usize,
+    cp: Option<Checkpoint>,
+}
+
+impl CheckpointRec {
+    pub(crate) fn new(seq: Option<usize>) -> Self {
+        CheckpointRec {
+            seq: seq.unwrap_or(usize::MAX),
+            cp: None,
+        }
+    }
+
+    /// Rank `r` left collective `seq` at `finish`; its breakdown and
+    /// profile rows already include the collective. The first call for
+    /// the checkpoint also snapshots the global views.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(crate) fn leave<P: ProfileSink>(
+        &mut self,
+        seq: usize,
+        r: usize,
+        finish: f64,
+        breakdown: &[[f64; EventKind::COUNT]],
+        profile: &P,
+        p2p_bytes: u64,
+        internode_bytes: u64,
+    ) {
+        if seq != self.seq {
+            return;
+        }
+        let cp = self.cp.get_or_insert_with(|| Checkpoint {
+            makespan: finish,
+            p2p_bytes,
+            internode_bytes,
+            per_rank_breakdown: vec![[0.0; EventKind::COUNT]; breakdown.len()],
+            profile: profile
+                .view()
+                .map(Profile::sparse_clone)
+                .unwrap_or_default(),
+        });
+        cp.per_rank_breakdown[r] = breakdown[r];
+        if let Some(p) = profile.view() {
+            cp.profile.per_rank[r] = p.per_rank[r];
+        }
+    }
+
+    pub(crate) fn finish(self) -> Option<Checkpoint> {
+        self.cp
     }
 }
 
@@ -336,10 +446,10 @@ impl Prepass {
     /// validity is preserved because [`Program::validate`] requires all
     /// requests closed at the end of the template, so every copy starts
     /// from a clean request namespace (the documented
-    /// reuse-after-`Wait` rule). Appending collectives (which post no
-    /// point-to-point requests) to such a concatenation leaves the
-    /// counts unchanged, so e.g. a `W×step + Barrier` warm-up program
-    /// is described by `template.scaled(W)` exactly.
+    /// reuse-after-`Wait` rule). Inserting collectives (which post no
+    /// point-to-point requests) into such a concatenation leaves the
+    /// counts unchanged, so e.g. a `W×step + Barrier + M×step` program
+    /// is described by `template.scaled(W + M)` exactly.
     pub fn scaled(&self, reps: usize) -> Prepass {
         Prepass {
             p2p_ops: self.p2p_ops.iter().map(|c| c * reps).collect(),
@@ -366,6 +476,8 @@ pub(crate) trait ProfileSink {
     const ENABLED: bool;
     fn phase(&mut self, rank: usize, phase: Phase, secs: f64);
     fn message(&mut self, from: usize, to: usize, bytes: usize, regime: Regime);
+    /// The profile recorded so far (`None` when profiling is off).
+    fn view(&self) -> Option<&Profile>;
     fn finish(self) -> Profile;
 }
 
@@ -381,6 +493,9 @@ impl ProfileSink for LiveProfile {
     fn message(&mut self, from: usize, to: usize, bytes: usize, regime: Regime) {
         self.0.record_message(from, to, bytes, regime);
     }
+    fn view(&self) -> Option<&Profile> {
+        Some(&self.0)
+    }
     fn finish(self) -> Profile {
         self.0
     }
@@ -394,6 +509,9 @@ impl ProfileSink for NoProfile {
     fn phase(&mut self, _rank: usize, _phase: Phase, _secs: f64) {}
     #[inline]
     fn message(&mut self, _from: usize, _to: usize, _bytes: usize, _regime: Regime) {}
+    fn view(&self) -> Option<&Profile> {
+        None
+    }
     fn finish(self) -> Profile {
         Profile::default()
     }
@@ -876,6 +994,9 @@ pub struct Engine {
     pub(crate) programs: Vec<Program>,
     /// Cooperative cancellation token (see [`Engine::with_cancel`]).
     pub(crate) cancel: Option<Arc<AtomicBool>>,
+    /// Collective sequence number of the checkpoint (see
+    /// [`Engine::with_checkpoint`]).
+    pub(crate) checkpoint: Option<usize>,
 }
 
 impl Engine {
@@ -892,7 +1013,25 @@ impl Engine {
             net,
             programs,
             cancel: None,
+            checkpoint: None,
         }
+    }
+
+    /// Record a [`Checkpoint`] in [`SimResult::checkpoint`] as the ranks
+    /// leave collective number `seq` (0-based) of the collective
+    /// sequence every rank shares. Keying on the collective sequence
+    /// rather than an op index names the same point on every rank even
+    /// when rank programs differ in length (boundary ranks of a halo
+    /// exchange post fewer messages).
+    ///
+    /// A run of `prefix ++ [Barrier] ++ suffix` with the checkpoint at
+    /// that barrier yields the prefix-plus-barrier run's result as its
+    /// checkpoint, so one run serves both (the harness subtracts the
+    /// warm-up this way). Recording costs one compare per collective
+    /// exit plus one profile copy at the checkpoint.
+    pub fn with_checkpoint(mut self, seq: usize) -> Self {
+        self.checkpoint = Some(seq);
+        self
     }
 
     /// Attach a cooperative cancellation token: when another thread
@@ -1022,6 +1161,7 @@ impl Engine {
         let mut p2p_bytes: u64 = 0;
         let mut internode_bytes: u64 = 0;
         let mut ready = ReadyQueue::with_all(nranks);
+        let mut ckpt = CheckpointRec::new(self.checkpoint);
 
         while let Some(r) = ready.pop() {
             if ranks[r].done {
@@ -1071,7 +1211,8 @@ impl Engine {
                         continue;
                     }
                     Some(Blocked::Collective { start }) => {
-                        let entry = &collectives[ranks[r].coll_seq];
+                        let seq = ranks[r].coll_seq;
+                        let entry = &collectives[seq];
                         let Some(finish) = entry.finish else {
                             break;
                         };
@@ -1084,6 +1225,15 @@ impl Engine {
                             &mut timeline,
                             &mut breakdown,
                             &mut profile,
+                        );
+                        ckpt.leave(
+                            seq,
+                            r,
+                            finish,
+                            &breakdown,
+                            &profile,
+                            p2p_bytes,
+                            internode_bytes,
                         );
                         continue;
                     }
@@ -1363,6 +1513,15 @@ impl Engine {
                                 &mut breakdown,
                                 &mut profile,
                             );
+                            ckpt.leave(
+                                seq,
+                                r,
+                                finish,
+                                &breakdown,
+                                &profile,
+                                p2p_bytes,
+                                internode_bytes,
+                            );
                         } else {
                             ranks[r].blocked = Some(Blocked::Collective { start: clock });
                             break;
@@ -1395,6 +1554,7 @@ impl Engine {
             internode_bytes,
             per_rank_breakdown: breakdown,
             profile: profile.finish(),
+            checkpoint: ckpt.finish(),
         })
     }
 

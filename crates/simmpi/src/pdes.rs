@@ -59,7 +59,10 @@
 //! and histogram buckets add, collective entry times max-reduce, and
 //! the global request-arena numbering (which seeds the flaky-link
 //! draws) is identical because every partition indexes the same
-//! prepass-derived arena layout.
+//! prepass-derived arena layout. A [`Checkpoint`] merges the same way:
+//! each partition snapshots its own ranks' rows as they leave the
+//! checkpoint collective and its own senders' global counters as the
+//! first of its ranks leaves it, and the shares scatter and add.
 //!
 //! ## Errors under `threads > 1`
 //!
@@ -83,9 +86,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::engine::{
-    regime_of, Blocked, ChanMemo, Channels, Engine, FaultHook, IReq, LiveProfile, NetParams,
-    NoFaults, NoProfile, Prepass, ProfileSink, RankState, ReadyQueue, RecvPost, Req, ReqClass,
-    ReqSet, SendPost, SimError, SimResult,
+    regime_of, Blocked, ChanMemo, Channels, Checkpoint, CheckpointRec, Engine, FaultHook, IReq,
+    LiveProfile, NetParams, NoFaults, NoProfile, Prepass, ProfileSink, RankState, ReadyQueue,
+    RecvPost, Req, ReqClass, ReqSet, SendPost, SimError, SimResult,
 };
 use crate::faults::ActiveFaults;
 use crate::netmodel::NetModel;
@@ -246,6 +249,8 @@ struct Shared<'a> {
     arena_start: Vec<usize>,
     arena_total: usize,
     lookahead: f64,
+    /// Collective sequence number of the checkpoint, if any.
+    checkpoint: Option<usize>,
     inboxes: Vec<Inbox>,
     /// Messages pushed to any inbox / drained from any inbox. Equality
     /// while everyone idles is the quiescence (termination) test.
@@ -601,6 +606,9 @@ struct PartOut {
     profile: Profile,
     p2p_bytes: u64,
     internode_bytes: u64,
+    /// This partition's share of the checkpoint: rows `lo..hi`, and the
+    /// global views counted by its own senders.
+    checkpoint: Option<Checkpoint>,
 }
 
 /// Process one inbox message against the partition-local state.
@@ -715,6 +723,10 @@ fn worker<P: MakeSink, F: FaultHook, const TRACE: bool>(
     let mut coll_finish: Vec<Option<f64>> = Vec::new();
     let mut out = Outgoing::new(nparts);
     let mut next_flush = sh.lookahead;
+    // Snapshots its own global counters when the first local rank
+    // leaves the checkpoint: every local rank has entered it by then
+    // (the finish needs all ranks) and none has gone past it.
+    let mut ckpt = CheckpointRec::new(sh.checkpoint);
 
     'main: loop {
         // Drain the inbox in one batch; `delivered` is credited only
@@ -804,6 +816,15 @@ fn worker<P: MakeSink, F: FaultHook, const TRACE: bool>(
                             &mut timeline,
                             &mut breakdown,
                             &mut profile,
+                        );
+                        ckpt.leave(
+                            seq,
+                            r,
+                            finish,
+                            &breakdown,
+                            &profile,
+                            p2p_bytes,
+                            internode_bytes,
                         );
                         continue 'rank;
                     }
@@ -1155,6 +1176,15 @@ fn worker<P: MakeSink, F: FaultHook, const TRACE: bool>(
                                     &mut breakdown,
                                     &mut profile,
                                 );
+                                ckpt.leave(
+                                    seq,
+                                    r,
+                                    finish,
+                                    &breakdown,
+                                    &profile,
+                                    p2p_bytes,
+                                    internode_bytes,
+                                );
                             }
                             Enter::Pending => {
                                 ranks[r].blocked = Some(Blocked::Collective { start: clock });
@@ -1224,6 +1254,7 @@ fn worker<P: MakeSink, F: FaultHook, const TRACE: bool>(
         profile: profile.finish(),
         p2p_bytes,
         internode_bytes,
+        checkpoint: ckpt.finish(),
     }
 }
 
@@ -1296,6 +1327,7 @@ fn run_pdes<P: MakeSink, F: FaultHook + Sync, const TRACE: bool>(
         arena_start,
         arena_total: acc,
         lookahead,
+        checkpoint: engine.checkpoint,
         inboxes: (0..nparts).map(|_| Inbox::default()).collect(),
         sent: AtomicU64::new(0),
         delivered: AtomicU64::new(0),
@@ -1400,7 +1432,40 @@ fn run_pdes<P: MakeSink, F: FaultHook + Sync, const TRACE: bool>(
         internode_bytes,
         per_rank_breakdown: breakdown,
         profile,
+        checkpoint: merge_checkpoints::<P>(&outs, nranks),
     })
+}
+
+/// Merge the partitions' checkpoint shares exactly like the results:
+/// owner-written rows scatter, `u64` global views add. Every partition
+/// holds a share once the run has passed the checkpoint; otherwise there
+/// is none.
+fn merge_checkpoints<P: ProfileSink>(outs: &[PartOut], nranks: usize) -> Option<Checkpoint> {
+    let shares: Vec<&Checkpoint> = outs
+        .iter()
+        .map(|po| po.checkpoint.as_ref())
+        .collect::<Option<_>>()?;
+    let mut cp = Checkpoint {
+        makespan: shares[0].makespan,
+        p2p_bytes: 0,
+        internode_bytes: 0,
+        per_rank_breakdown: vec![[0.0f64; EventKind::COUNT]; nranks],
+        profile: if P::ENABLED {
+            Profile::new(nranks)
+        } else {
+            Profile::default()
+        },
+    };
+    for (po, share) in outs.iter().zip(shares) {
+        cp.per_rank_breakdown[po.lo..po.hi]
+            .copy_from_slice(&share.per_rank_breakdown[po.lo..po.hi]);
+        if P::ENABLED {
+            cp.profile.absorb_partition(&share.profile, po.lo, po.hi);
+        }
+        cp.p2p_bytes += share.p2p_bytes;
+        cp.internode_bytes += share.internode_bytes;
+    }
+    Some(cp)
 }
 
 #[cfg(test)]

@@ -171,6 +171,27 @@ impl Profile {
         }
     }
 
+    /// A copy that writes only the non-zero entries of the
+    /// communication matrix into a freshly zeroed one. The matrix has
+    /// `nranks²` entries, mostly zero for neighbour-exchange codes; a
+    /// zeroed allocation leaves the pages no entry is written to out of
+    /// resident memory, where `clone` would write every page.
+    pub(crate) fn sparse_clone(&self) -> Profile {
+        let mut comm_matrix = vec![0; self.comm_matrix.len()];
+        for (dst, &src) in comm_matrix.iter_mut().zip(&self.comm_matrix) {
+            if src != 0 {
+                *dst = src;
+            }
+        }
+        Profile {
+            nranks: self.nranks,
+            per_rank: self.per_rank.clone(),
+            eager_hist: self.eager_hist.clone(),
+            rendezvous_hist: self.rendezvous_hist.clone(),
+            comm_matrix,
+        }
+    }
+
     /// Whether the engine populated this profile.
     pub fn is_enabled(&self) -> bool {
         self.nranks > 0
@@ -227,10 +248,11 @@ impl Profile {
         t
     }
 
-    /// `self − warm`, component-wise and clamped at zero. Both runs
-    /// being deterministic with a shared prefix, this isolates the
-    /// measured region exactly (the same trick
-    /// `harness`'s breakdown subtraction uses).
+    /// `self − warm`, component-wise and clamped at zero. With `warm`
+    /// the run's own [`Checkpoint`](crate::engine::Checkpoint) profile
+    /// at the warm-up barrier, this isolates the measured region
+    /// exactly (the same subtraction `harness` applies to the
+    /// breakdown).
     pub fn saturating_sub(&self, warm: &Profile) -> Profile {
         if !self.is_enabled() {
             return Profile::default();
@@ -415,6 +437,16 @@ mod tests {
         assert!((m.per_rank[0].compute_s - 3.0).abs() < 1e-12);
         assert_eq!(m.regime_totals(Regime::Eager).count, 1);
         assert_eq!(m.bytes_between(0, 0), 64);
+    }
+
+    #[test]
+    fn sparse_clone_equals_the_profile() {
+        let mut p = Profile::new(3);
+        p.record_phase(1, Phase::RecvWait, 0.25);
+        p.record_message(2, 0, 4096, Regime::Eager);
+        p.record_message(0, 1, 1 << 20, Regime::Rendezvous);
+        assert_eq!(p.sparse_clone(), p);
+        assert_eq!(Profile::default().sparse_clone(), Profile::default());
     }
 
     #[test]

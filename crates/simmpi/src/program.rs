@@ -111,6 +111,19 @@ impl Op {
     pub fn is_communication(&self) -> bool {
         !matches!(self, Op::Compute { .. })
     }
+
+    /// True for collectives, which every rank calls in the same order.
+    pub fn is_collective(&self) -> bool {
+        matches!(
+            self,
+            Op::Allreduce { .. }
+                | Op::Barrier
+                | Op::Bcast { .. }
+                | Op::Reduce { .. }
+                | Op::Allgather { .. }
+                | Op::Alltoall { .. }
+        )
+    }
 }
 
 /// The ordered list of operations one rank executes.

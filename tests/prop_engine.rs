@@ -7,11 +7,14 @@
 //! run explores the same parameter sample — failures are reproducible
 //! by construction.
 
+use spechpc::kernels::common::model::NodeModel;
 use spechpc::kernels::common::rng::Rng;
 use spechpc::machine::presets;
-use spechpc::simmpi::engine::{Engine, SimConfig, SimResult};
+use spechpc::prelude::{all_benchmarks, WorkloadClass};
+use spechpc::simmpi::engine::{Checkpoint, Engine, Prepass, SimConfig, SimResult};
 use spechpc::simmpi::netmodel::NetModel;
 use spechpc::simmpi::program::{Op, Program};
+use spechpc::simmpi::trace::EventKind;
 
 /// A well-formed random workload: every rank runs `steps` rounds of
 /// compute + a ring sendrecv + optionally a collective, so matching is
@@ -416,4 +419,209 @@ fn monotone_in_message_size() {
             b.makespan
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Checkpoints: one run carries the warm-up-only result
+// ---------------------------------------------------------------------
+//
+// `Engine::with_checkpoint` at the barrier closing a prefix must return,
+// bit for bit, what a separate run of `prefix ++ [Barrier]` returns.
+
+/// `(prefix ++ [Barrier], prefix ++ [Barrier] ++ suffix, barrier's
+/// collective number)`.
+fn split_at_barrier(prefix: &[Program], suffix: &[Program]) -> (Vec<Program>, Vec<Program>, usize) {
+    let warm: Vec<Program> = prefix
+        .iter()
+        .map(|p| {
+            let mut w = p.clone();
+            w.push(Op::Barrier);
+            w
+        })
+        .collect();
+    let full = warm
+        .iter()
+        .zip(suffix)
+        .map(|(w, s)| {
+            let mut f = w.clone();
+            f.ops.extend_from_slice(&s.ops);
+            f
+        })
+        .collect();
+    let seq = prefix[0].ops.iter().filter(|op| op.is_collective()).count();
+    (warm, full, seq)
+}
+
+/// Bitwise equality of a checkpoint and a warm-up-only result:
+/// makespan, breakdown rows, profile phases, histograms, matrix, bytes.
+fn assert_checkpoint_is(cp: &Checkpoint, warm: &SimResult, what: &str) {
+    assert_eq!(
+        cp.makespan.to_bits(),
+        warm.makespan.to_bits(),
+        "{what}: makespan"
+    );
+    assert_eq!(cp.p2p_bytes, warm.p2p_bytes, "{what}: p2p bytes");
+    assert_eq!(
+        cp.internode_bytes, warm.internode_bytes,
+        "{what}: internode bytes"
+    );
+    let bits = |rows: &[[f64; EventKind::COUNT]]| -> Vec<u64> {
+        rows.iter().flatten().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(
+        bits(&cp.per_rank_breakdown),
+        bits(&warm.per_rank_breakdown),
+        "{what}: per-rank breakdown"
+    );
+    let phases = |p: &spechpc::simmpi::profile::Profile| -> Vec<u64> {
+        p.per_rank
+            .iter()
+            .flat_map(|ph| {
+                [
+                    ph.compute_s,
+                    ph.eager_send_s,
+                    ph.rendezvous_stall_s,
+                    ph.recv_wait_s,
+                    ph.collective_wait_s,
+                    ph.fault_stall_s,
+                ]
+            })
+            .map(f64::to_bits)
+            .collect()
+    };
+    assert_eq!(
+        phases(&cp.profile),
+        phases(&warm.profile),
+        "{what}: profile phases"
+    );
+    assert_eq!(
+        cp.profile.nranks, warm.profile.nranks,
+        "{what}: profile ranks"
+    );
+    assert_eq!(
+        cp.profile.eager_hist, warm.profile.eager_hist,
+        "{what}: eager histogram"
+    );
+    assert_eq!(
+        cp.profile.rendezvous_hist, warm.profile.rendezvous_hist,
+        "{what}: rendezvous histogram"
+    );
+    assert_eq!(
+        cp.profile.comm_matrix, warm.profile.comm_matrix,
+        "{what}: comm matrix"
+    );
+}
+
+/// Run `warm` alone and `full` with a checkpoint at collective `seq`,
+/// and check the checkpoint against the warm-only result.
+fn check_split(warm: Vec<Program>, full: Vec<Program>, seq: usize, what: &str) {
+    let cluster = presets::cluster_a();
+    let nranks = warm.len();
+    let w = Engine::new(
+        SimConfig::default(),
+        NetModel::compact(&cluster, nranks),
+        warm,
+    )
+    .run()
+    .expect("warm-only run");
+    let f = Engine::new(
+        SimConfig::default(),
+        NetModel::compact(&cluster, nranks),
+        full,
+    )
+    .with_checkpoint(seq)
+    .run()
+    .expect("full run");
+    let cp = f
+        .checkpoint
+        .as_ref()
+        .expect("the run passed its checkpoint");
+    assert_checkpoint_is(cp, &w, what);
+}
+
+/// Random fault-free programs: a `mixed_programs` prefix and suffix,
+/// some of them with an eager message per rank posted before the
+/// barrier and received after it, and some with an empty prefix (no
+/// warm-up steps).
+#[test]
+fn checkpoint_equals_a_warm_only_run() {
+    let mut rng = Rng::seed_from_u64(0xC4EC);
+    for case in 0..32 {
+        let nranks = 1 + rng.range(0.0, 24.0) as usize;
+        let warm_steps = if case % 4 == 0 {
+            0
+        } else {
+            1 + rng.range(0.0, 4.0) as usize
+        };
+        let mut prefix = mixed_programs(&mut rng, nranks, warm_steps);
+        let measured_steps = 1 + rng.range(0.0, 4.0) as usize;
+        let mut suffix = mixed_programs(&mut rng, nranks, measured_steps);
+        if case % 2 == 1 && nranks > 1 {
+            // Eager send before the barrier, matching receive after it.
+            for r in 0..nranks {
+                prefix[r].push(Op::send((r + 1) % nranks, 900, 64));
+                suffix[r]
+                    .ops
+                    .insert(0, Op::recv((r + nranks - 1) % nranks, 900));
+            }
+        }
+        let (warm, full, seq) = split_at_barrier(&prefix, &suffix);
+        check_split(warm, full, seq, &format!("case {case} ({nranks} ranks)"));
+    }
+}
+
+/// The step programs of all nine benchmarks, `W` warm-up steps (0 and
+/// 2) and the runner's `M = 3` measured steps, at small rank counts.
+#[test]
+fn checkpoint_equals_a_warm_only_run_for_every_benchmark() {
+    let cluster = presets::cluster_a();
+    for nranks in [4, 13] {
+        for bench in all_benchmarks() {
+            let sig = bench.signature(WorkloadClass::Tiny);
+            let model = NodeModel::new(&cluster, nranks);
+            let ct = model.compute_times(&sig, &bench.penalties(WorkloadClass::Tiny, nranks));
+            let step = bench.step_programs(WorkloadClass::Tiny, &ct);
+            let repeat = |n: usize| -> Vec<Program> {
+                step.iter()
+                    .map(|p| Program {
+                        ops: p.ops.repeat(n),
+                    })
+                    .collect()
+            };
+            for warmup in [0, 2] {
+                let (warm, full, seq) = split_at_barrier(&repeat(warmup), &repeat(3));
+                let name = bench.meta().name;
+                check_split(warm, full, seq, &format!("{name} n={nranks} W={warmup}"));
+            }
+        }
+    }
+}
+
+/// The runner's shape end to end: a checkpointed run of a prepass
+/// derived by `Prepass::scaled` keeps the result of the unsplit run,
+/// and a run that never reaches the checkpoint reports none.
+#[test]
+fn checkpoint_leaves_the_result_alone() {
+    let mut rng = Rng::seed_from_u64(0xC4ED);
+    let prefix = mixed_programs(&mut rng, 9, 3);
+    let suffix = mixed_programs(&mut rng, 9, 2);
+    let (_, full, seq) = split_at_barrier(&prefix, &suffix);
+    let cluster = presets::cluster_a();
+    let net = || NetModel::compact(&cluster, 9);
+    let prepass = Prepass::analyze(&full).expect("valid programs");
+    let plain = Engine::new(SimConfig::default(), net(), full.clone())
+        .run_prevalidated(&prepass)
+        .unwrap();
+    let split = Engine::new(SimConfig::default(), net(), full.clone())
+        .with_checkpoint(seq)
+        .run_prevalidated(&prepass)
+        .unwrap();
+    assert_eq!(fingerprint(&plain), fingerprint(&split));
+    assert!(plain.checkpoint.is_none());
+    assert!(split.checkpoint.is_some());
+    let beyond = Engine::new(SimConfig::default(), net(), full)
+        .with_checkpoint(usize::MAX - 1)
+        .run()
+        .unwrap();
+    assert!(beyond.checkpoint.is_none());
 }

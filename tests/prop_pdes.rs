@@ -8,12 +8,16 @@
 //! self-contained by convention), and the `GOLDEN` vector below is the
 //! same pinned set the sequential scheduler is held to.
 
+use spechpc::kernels::common::model::NodeModel;
 use spechpc::kernels::common::rng::Rng;
 use spechpc::machine::presets;
-use spechpc::simmpi::engine::{Engine, SimConfig, SimError, SimResult};
+use spechpc::prelude::{all_benchmarks, WorkloadClass};
+use spechpc::simmpi::engine::{Checkpoint, Engine, SimConfig, SimError, SimResult};
 use spechpc::simmpi::faults::{FaultEvent, FaultPlan, RankSet};
 use spechpc::simmpi::netmodel::NetModel;
+use spechpc::simmpi::profile::Profile;
 use spechpc::simmpi::program::{Op, Program};
+use spechpc::simmpi::trace::EventKind;
 
 /// FNV-1a accumulation over raw bytes.
 fn fnv(h: &mut u64, bytes: &[u8]) {
@@ -472,5 +476,235 @@ fn collective_mismatch_blame_matches_sequential() {
             seq,
             "{threads} threads"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Checkpoints under the parallel scheduler
+// ---------------------------------------------------------------------
+//
+// Each partition snapshots its own share of the checkpoint; the merge
+// must equal a separate warm-up-only run bit for bit.
+
+/// Every number a run state holds, as bits, in a fixed order: makespan,
+/// byte counters, breakdown rows, profile phases, histograms, matrix.
+fn state_bits(
+    makespan: f64,
+    p2p_bytes: u64,
+    internode_bytes: u64,
+    rows: &[[f64; EventKind::COUNT]],
+    p: &Profile,
+) -> Vec<u64> {
+    let mut v = vec![
+        makespan.to_bits(),
+        p2p_bytes,
+        internode_bytes,
+        p.nranks as u64,
+    ];
+    v.extend(rows.iter().flatten().map(|x| x.to_bits()));
+    for ph in &p.per_rank {
+        v.extend(
+            [
+                ph.compute_s,
+                ph.eager_send_s,
+                ph.rendezvous_stall_s,
+                ph.recv_wait_s,
+                ph.collective_wait_s,
+                ph.fault_stall_s,
+            ]
+            .map(f64::to_bits),
+        );
+    }
+    for b in p.eager_hist.iter().chain(&p.rendezvous_hist) {
+        v.extend([b.count, b.bytes]);
+    }
+    v.extend(&p.comm_matrix);
+    v
+}
+
+fn checkpoint_bits(cp: &Checkpoint) -> Vec<u64> {
+    state_bits(
+        cp.makespan,
+        cp.p2p_bytes,
+        cp.internode_bytes,
+        &cp.per_rank_breakdown,
+        &cp.profile,
+    )
+}
+
+fn result_bits(r: &SimResult) -> Vec<u64> {
+    state_bits(
+        r.makespan,
+        r.p2p_bytes,
+        r.internode_bytes,
+        &r.per_rank_breakdown,
+        &r.profile,
+    )
+}
+
+/// `(prefix ++ [Barrier], prefix ++ [Barrier] ++ suffix, barrier's
+/// collective number)` (duplicated from `prop_engine.rs`).
+fn split_at_barrier(prefix: &[Program], suffix: &[Program]) -> (Vec<Program>, Vec<Program>, usize) {
+    let warm: Vec<Program> = prefix
+        .iter()
+        .map(|p| {
+            let mut w = p.clone();
+            w.push(Op::Barrier);
+            w
+        })
+        .collect();
+    let full = warm
+        .iter()
+        .zip(suffix)
+        .map(|(w, s)| {
+            let mut f = w.clone();
+            f.ops.extend_from_slice(&s.ops);
+            f
+        })
+        .collect();
+    let seq = prefix[0].ops.iter().filter(|op| op.is_collective()).count();
+    (warm, full, seq)
+}
+
+/// Run `full` at `threads` with a checkpoint at collective `seq`.
+fn checkpointed(cfg: SimConfig, full: &[Program], seq: usize, threads: usize) -> SimResult {
+    let net = NetModel::compact(&presets::cluster_a(), full.len());
+    Engine::new(cfg.with_threads(threads), net, full.to_vec())
+        .with_checkpoint(seq)
+        .run()
+        .expect("full run")
+}
+
+/// Check the checkpoint of `full` at 1, 2 and 4 threads against a
+/// sequential warm-only run of `warm`, and the full result against
+/// the sequential full result.
+fn check_split_at_every_thread_count(
+    warm: Vec<Program>,
+    full: Vec<Program>,
+    seq: usize,
+    what: &str,
+) {
+    let net = NetModel::compact(&presets::cluster_a(), warm.len());
+    let want = result_bits(
+        &Engine::new(SimConfig::default(), net, warm)
+            .run()
+            .expect("warm-only run"),
+    );
+    let reference = fingerprint(&checkpointed(SimConfig::default(), &full, seq, 1));
+    for threads in [1usize, 2, 4] {
+        let r = checkpointed(SimConfig::default(), &full, seq, threads);
+        let cp = r
+            .checkpoint
+            .as_ref()
+            .expect("the run passed its checkpoint");
+        assert!(
+            checkpoint_bits(cp) == want,
+            "{what}: checkpoint at {threads} threads"
+        );
+        assert_eq!(
+            fingerprint(&r),
+            reference,
+            "{what}: result at {threads} threads"
+        );
+    }
+}
+
+/// Random fault-free programs, some with an eager message per rank
+/// posted before the barrier and received after it (crossing partition
+/// boundaries), some with no warm-up steps at all, and one case large
+/// enough to span nodes.
+#[test]
+fn checkpoint_equals_a_warm_only_run_at_every_thread_count() {
+    let mut rng = Rng::seed_from_u64(0xC4EE);
+    for case in 0..16 {
+        let nranks = if case == 15 {
+            150
+        } else {
+            2 + rng.range(0.0, 30.0) as usize
+        };
+        let warm_steps = if case % 4 == 0 {
+            0
+        } else {
+            1 + rng.range(0.0, 4.0) as usize
+        };
+        let mut prefix = mixed_programs(&mut rng, nranks, warm_steps);
+        let measured_steps = 1 + rng.range(0.0, 4.0) as usize;
+        let mut suffix = mixed_programs(&mut rng, nranks, measured_steps);
+        if case % 2 == 1 {
+            for (r, (pre, post)) in prefix.iter_mut().zip(&mut suffix).enumerate() {
+                pre.push(Op::send((r + nranks / 2) % nranks, 900, 64));
+                post.ops
+                    .insert(0, Op::recv((r + nranks - nranks / 2) % nranks, 900));
+            }
+        }
+        let (warm, full, seq) = split_at_barrier(&prefix, &suffix);
+        check_split_at_every_thread_count(
+            warm,
+            full,
+            seq,
+            &format!("case {case} ({nranks} ranks)"),
+        );
+    }
+}
+
+/// The nine benchmarks' step programs, `W ∈ {0, 2}` warm-up and 3
+/// measured steps, at small rank counts.
+#[test]
+fn checkpoint_equals_a_warm_only_run_for_every_benchmark_at_every_thread_count() {
+    let cluster = presets::cluster_a();
+    for nranks in [6, 16] {
+        for bench in all_benchmarks() {
+            let sig = bench.signature(WorkloadClass::Tiny);
+            let model = NodeModel::new(&cluster, nranks);
+            let ct = model.compute_times(&sig, &bench.penalties(WorkloadClass::Tiny, nranks));
+            let step = bench.step_programs(WorkloadClass::Tiny, &ct);
+            let repeat = |n: usize| -> Vec<Program> {
+                step.iter()
+                    .map(|p| Program {
+                        ops: p.ops.repeat(n),
+                    })
+                    .collect()
+            };
+            for warmup in [0, 2] {
+                let (warm, full, seq) = split_at_barrier(&repeat(warmup), &repeat(3));
+                let name = bench.meta().name;
+                check_split_at_every_thread_count(
+                    warm,
+                    full,
+                    seq,
+                    &format!("{name} n={nranks} W={warmup}"),
+                );
+            }
+        }
+    }
+}
+
+/// Under non-crash fault plans (flaky links included) the checkpoint
+/// is bit-identical across thread counts.
+#[test]
+fn checkpoint_under_fault_plans_is_bit_identical_across_thread_counts() {
+    let mut rng = Rng::seed_from_u64(0xFA03);
+    for i in 0..8 {
+        let nranks = 2 + rng.range(0.0, 12.0) as usize;
+        let plan = degradation_plan(&mut rng, nranks, 0x5EED + i);
+        let prefix = ring_programs(nranks, 2, &[2, 5, 13], 32_768, false);
+        let suffix = ring_programs(nranks, 3, &[3, 7], 4096, true);
+        let (_, full, seq) = split_at_barrier(&prefix, &suffix);
+        let cfg = || SimConfig::default().with_faults(plan.clone());
+        let bits = |threads: usize| {
+            let r = checkpointed(cfg(), &full, seq, threads);
+            checkpoint_bits(
+                r.checkpoint
+                    .as_ref()
+                    .expect("the run passed its checkpoint"),
+            )
+        };
+        let want = bits(1);
+        for threads in [2usize, 4] {
+            assert!(
+                bits(threads) == want,
+                "case {i} diverged at {threads} threads"
+            );
+        }
     }
 }
